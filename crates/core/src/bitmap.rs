@@ -146,6 +146,44 @@ impl AtomicBitmap {
         (a[0] & b[0]) | (a[1] & b[1]) | (a[2] & b[2]) | (a[3] & b[3]) == 0
     }
 
+    /// Atomically sets every clear bit below `count` with one `fetch_or`
+    /// per word, and returns the bits this call claimed (clear before,
+    /// set by it): the word-wise form of calling [`try_set`] on each
+    /// slot, as a shuffle-vector attach does (§4.1).
+    ///
+    /// [`try_set`]: AtomicBitmap::try_set
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > len`.
+    #[inline]
+    pub fn claim_clear(&self, count: usize) -> [u64; WORDS] {
+        assert!(count <= self.len as usize, "claim of {count} bits past len {}", self.len);
+        let mut claimed = [0; WORDS];
+        for (i, w) in self.words.iter().enumerate() {
+            let valid = word_mask(count, i);
+            if valid != 0 {
+                claimed[i] = valid & !w.fetch_or(valid, Ordering::AcqRel);
+            }
+        }
+        claimed
+    }
+
+    /// Atomically clears every bit set in `bits`, one `fetch_and` per
+    /// non-zero word; returns whether all of them were set. A shuffle
+    /// vector's detach releases its unconsumed claims this way.
+    #[inline]
+    pub fn release(&self, bits: &[u64; WORDS]) -> bool {
+        let mut all_set = true;
+        for (i, (w, &b)) in self.words.iter().zip(bits).enumerate() {
+            debug_assert_eq!(b & !word_mask(self.len as usize, i), 0, "release past len");
+            if b != 0 {
+                all_set &= w.fetch_and(!b, Ordering::AcqRel) & b == b;
+            }
+        }
+        all_set
+    }
+
     /// Iterates over the indices of set bits, ascending.
     pub fn iter_set(&self) -> SetBits {
         SetBits {
@@ -160,15 +198,7 @@ impl AtomicBitmap {
         let mut words = self.load_words();
         for (i, w) in words.iter_mut().enumerate() {
             // Invert, masking off bits beyond `len`.
-            let base = i * 64;
-            let valid = if self.len as usize >= base + 64 {
-                u64::MAX
-            } else if (self.len as usize) <= base {
-                0
-            } else {
-                (1u64 << (self.len as usize - base)) - 1
-            };
-            *w = !*w & valid;
+            *w = !*w & word_mask(self.len as usize, i);
         }
         ClearBits(SetBits {
             words,
@@ -182,6 +212,19 @@ impl AtomicBitmap {
         for w in &self.words {
             w.store(0, Ordering::Release);
         }
+    }
+}
+
+/// The bits of word `i` that lie below `count`.
+#[inline]
+pub(crate) fn word_mask(count: usize, i: usize) -> u64 {
+    let base = i * 64;
+    if count >= base + 64 {
+        u64::MAX
+    } else if count <= base {
+        0
+    } else {
+        (1u64 << (count - base)) - 1
     }
 }
 
@@ -336,6 +379,34 @@ mod tests {
         let w = winners.lock().unwrap();
         assert!(w.iter().all(|&c| c == 1), "every bit claimed exactly once");
         assert_eq!(bm.in_use(), 256);
+    }
+
+    #[test]
+    fn claim_clear_and_release_by_word() {
+        let bm = AtomicBitmap::new(170);
+        bm.try_set(3);
+        bm.try_set(64);
+        bm.try_set(169);
+        let claimed = bm.claim_clear(170);
+        assert_eq!(claimed[0], !(1 << 3));
+        assert_eq!(claimed[1], !1);
+        assert_eq!(claimed[2], (1 << 41) - 1, "bits 128..169 minus 169");
+        assert_eq!(claimed[3], 0, "nothing at or past len");
+        assert_eq!(bm.in_use(), 170);
+        assert_eq!(bm.claim_clear(170), [0; WORDS], "second claim finds nothing");
+        assert!(bm.release(&claimed));
+        assert_eq!(bm.iter_set().collect::<Vec<_>>(), vec![3, 64, 169]);
+        assert!(!bm.release(&claimed), "releasing clear bits is reported");
+        // A shorter claim leaves the bits above `count` alone.
+        let bm = AtomicBitmap::new(256);
+        assert_eq!(bm.claim_clear(100), [u64::MAX, (1 << 36) - 1, 0, 0]);
+        assert_eq!(bm.in_use(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "past len")]
+    fn claim_past_len_panics() {
+        AtomicBitmap::new(10).claim_clear(11);
     }
 
     #[test]

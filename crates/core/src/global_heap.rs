@@ -619,27 +619,40 @@ impl GlobalHeap {
     /// the cache, because spilled slots come from the shuffle vector's
     /// avail mask and a hostile back-to-back duplicate cannot interleave
     /// with a detach.
+    ///
+    /// The applied frees' `frees`, `remote_frees` and `live_bytes` are
+    /// summed over the drain and published once at its end.
     pub(crate) fn drain_class_locked(&self, class: SizeClass, st: &mut ClassState) {
         let shard = &self.classes[class.index()];
         if shard.queue.is_empty() {
             return;
         }
         let t0 = Instant::now();
-        let mut drained = 0u64;
+        let (mut drained, mut freed, mut freed_bytes) = (0u64, 0u64, 0usize);
         for addr in shard.queue.drain() {
             drained += 1;
-            self.apply_remote_free(class, st, addr);
+            if let Some(size) = self.apply_remote_free(class, st, addr) {
+                freed += 1;
+                freed_bytes += size;
+            }
+        }
+        if freed > 0 {
+            self.counters.frees.fetch_add(freed, Ordering::Relaxed);
+            self.counters.remote_frees.fetch_add(freed, Ordering::Relaxed);
+            self.counters.live_bytes.fetch_sub(freed_bytes, Ordering::Relaxed);
         }
         self.counters.remote_free_drained.fetch_add(drained, Ordering::Relaxed);
         self.counters.record_slow(TimedOp::RemoteDrain, t0, drained);
     }
 
-    /// Validates and applies one queued free. Invalid pointers and double
-    /// frees are detected here — the queue push was optimistic.
-    fn apply_remote_free(&self, class: SizeClass, st: &mut ClassState, addr: usize) {
+    /// Validates and applies one queued free, returning the freed object's
+    /// size. Invalid pointers and double frees are detected here — the
+    /// queue push was optimistic — and return `None`.
+    fn apply_remote_free(&self, class: SizeClass, st: &mut ClassState, addr: usize) -> Option<usize> {
         let invalid = |h: &GlobalHeap| {
             h.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
             h.harden_violation(HardenKind::InvalidFree, addr);
+            None
         };
         let Some(page) = self.page_of_addr(addr) else {
             return invalid(self);
@@ -669,15 +682,10 @@ impl GlobalHeap {
             // shared-cache membership explicitly. (Objects in a thread's
             // popped batch are invisible here — that residual window
             // matches the pre-existing attached-vector one.)
-            if self.transfer.contains(class.index(), addr) {
+            if self.transfer.contains(class.index(), addr) || !mh.bitmap().unset(slot) {
                 self.counters.double_frees.fetch_add(1, Ordering::Relaxed);
                 self.harden_violation(HardenKind::DoubleFree, addr);
-                return;
-            }
-            if !mh.bitmap().unset(slot) {
-                self.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                self.harden_violation(HardenKind::DoubleFree, addr);
-                return;
+                return None;
             }
             (mh.object_size(), mh.is_attached(), mh.in_use() == 0)
         };
@@ -685,11 +693,6 @@ impl GlobalHeap {
         // later reallocation (or the mesh-time canary sweep) can vouch
         // nothing wrote through the stale pointer.
         self.poison_object(addr, object_size, class.index());
-        self.counters.frees.fetch_add(1, Ordering::Relaxed);
-        self.counters.remote_frees.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .live_bytes
-            .fetch_sub(object_size, Ordering::Relaxed);
         if !attached {
             if now_empty {
                 self.free_miniheap_locked(st, info.id);
@@ -697,6 +700,7 @@ impl GlobalHeap {
                 st.rebin(info.id);
             }
         }
+        Some(object_size)
     }
 
     /// Un-claims an address whose bit was held by the transfer cache or a
@@ -2016,26 +2020,45 @@ mod tests {
 
     #[test]
     fn queued_double_free_detected_at_drain() {
+        // One drain mixes valid frees, a duplicate, a misaligned pointer
+        // and the last free of a detached span; the counters it publishes
+        // once at its end must come out exact.
         let h = heap();
         let class = SizeClass::for_size(256).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let size = class.object_size();
         let mut rng = Rng::with_seed(9);
+        // Two vectors of one class attach two spans: `sv` keeps three
+        // objects live in its span, `lone` one object in the other.
+        let (mut sv, mut lone) = (ShuffleVector::new(true), ShuffleVector::new(true));
         h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let a = sv.malloc().unwrap();
-        // Keep a second object live so the MiniHeap survives the first
-        // drained free (a dead MiniHeap would make the duplicate read as
-        // *invalid* instead, exactly like the seed's large-object case).
-        let _b = sv.malloc().unwrap();
+        h.refill(&mut lone, class, 2, &mut rng).unwrap();
+        let lone_id = lone.miniheap().unwrap();
+        assert_ne!(sv.miniheap(), Some(lone_id));
+        let (a, b, c) = (sv.malloc().unwrap(), sv.malloc().unwrap(), sv.malloc().unwrap());
+        let d = lone.malloc().unwrap();
+        // The raw vectors bypass the thread heap's malloc accounting.
+        h.counters.live_bytes.fetch_add(4 * size, Ordering::Relaxed);
         // Detach so the frees take the global path.
         h.release_vector(class, &mut sv);
+        h.release_vector(class, &mut lone);
         assert!(h.free_global(a));
         assert!(h.free_global(a), "second push is optimistically accepted");
+        assert!(h.free_global(c + 8), "misaligned push is optimistically accepted");
+        assert!(h.free_global(b));
+        assert!(h.free_global(d));
         h.drain_all();
         let s = h.counters.snapshot();
-        assert_eq!(s.frees, 1, "only one free applied");
+        assert_eq!(s.frees, 3, "a, b and d applied");
+        assert_eq!(s.remote_frees, 3);
+        assert_eq!(s.live_bytes, size, "only c is live");
         assert_eq!(s.double_frees, 1, "duplicate rejected at drain");
-        assert_eq!(s.remote_free_queued, 2);
-        assert_eq!(s.remote_free_drained, 2);
+        assert_eq!(s.invalid_frees, 1, "misaligned pointer rejected at drain");
+        assert_eq!(s.remote_free_queued, 5);
+        assert_eq!(s.remote_free_drained, 5);
+        let c_id = h.page_map.get(h.page_of_addr(c).unwrap()).unwrap().id;
+        let st = h.lock_class(class);
+        assert!(st.slab.get(lone_id).is_none(), "emptied detached span destroyed");
+        assert_eq!(st.slab.get(c_id).unwrap().in_use(), 1, "c's span keeps c");
     }
 
     #[test]

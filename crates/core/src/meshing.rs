@@ -31,7 +31,6 @@
 use crate::global_heap::{ClassState, GlobalHeap, PARTIAL_BINS};
 use crate::miniheap::MiniHeapId;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
-use crate::span::Span;
 use crate::sys::ReleaseStrategy;
 use crate::telemetry::{PassRecord, RejectReason, TimedOp, REJECT_REASONS};
 use std::sync::atomic::Ordering;
@@ -400,11 +399,6 @@ fn mesh_pair(
 /// bitmap word-arrays mesh? (Definition 5.1 on raw words.)
 pub fn words_mesh(a: &[u64; 4], b: &[u64; 4]) -> bool {
     (a[0] & b[0]) | (a[1] & b[1]) | (a[2] & b[2]) | (a[3] & b[3]) == 0
-}
-
-#[allow(unused)]
-fn span_addr(arena_base: usize, span: Span) -> usize {
-    arena_base + span.byte_offset()
 }
 
 #[cfg(test)]

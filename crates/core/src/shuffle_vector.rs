@@ -126,6 +126,11 @@ impl ShuffleVector {
     /// setting it, §4.1), records the claimed offsets, and randomizes their
     /// order with a Knuth–Fisher–Yates shuffle.
     ///
+    /// The claim is one `fetch_or` per bitmap word, so an attach costs
+    /// O(words) shared-atomic operations however many slots it takes.
+    /// Before the shuffle the offsets lie in descending slot order, so a
+    /// seed yields the same allocation order as a slot-by-slot claim.
+    ///
     /// `span_starts` lists the start address of each virtual span aliasing
     /// the MiniHeap's physical span; `primary_start` (the first element) is
     /// where new allocations are served from.
@@ -155,12 +160,13 @@ impl ShuffleVector {
         self.span_starts.push(primary_start);
         self.max = object_count as u16;
         self.off = object_count as u16;
-        self.avail = [0; MAX_OBJECTS_PER_SPAN / 64];
-        for i in 0..object_count {
-            if bitmap.try_set(i) {
+        self.avail = bitmap.claim_clear(object_count);
+        for (w, &word) in self.avail.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
                 self.off -= 1;
-                self.list[self.off as usize] = i as u8;
-                self.avail[i / 64] |= 1 << (i % 64);
+                self.list[self.off as usize] = (w * 64) as u8 + rest.trailing_zeros() as u8;
+                rest &= rest - 1;
             }
         }
         if self.randomized {
@@ -178,17 +184,22 @@ impl ShuffleVector {
 
     /// Detaches the current MiniHeap, atomically returning every unconsumed
     /// offset to `bitmap` (bits cleared) so other threads and the mesher
-    /// see them as free. Returns the detached MiniHeap id.
+    /// see them as free. The availability mask holds exactly those
+    /// offsets, so the release is one `fetch_and` per non-zero mask word.
+    /// Returns the detached MiniHeap id.
     ///
     /// # Panics
     ///
     /// Panics if the vector is detached.
     pub fn detach(&mut self, bitmap: &AtomicBitmap) -> MiniHeapId {
         let mh = self.mh.take().expect("detach on a detached vector");
-        for i in self.off..self.max {
-            let freed = bitmap.unset(self.list[i as usize] as usize);
-            debug_assert!(freed, "slot in shuffle vector was not claimed");
-        }
+        debug_assert_eq!(
+            self.avail.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+            self.available(),
+            "availability mask out of step with the free list"
+        );
+        let freed = bitmap.release(&self.avail);
+        debug_assert!(freed, "slot in shuffle vector was not claimed");
         self.off = 0;
         self.max = 0;
         self.object_size = 0;
@@ -528,6 +539,121 @@ mod tests {
         // Freeing the pre-existing live object is a legitimate local free.
         assert!(unsafe { sv.free_slot(4, &mut rng) });
         assert_eq!(sv.available(), 16);
+    }
+
+    /// The per-slot attach the word-wise one replaced: one `try_set` per
+    /// slot, kept as the reference the property test below checks against.
+    fn reference_attach(
+        sv: &mut ShuffleVector,
+        object_count: usize,
+        bitmap: &AtomicBitmap,
+        rng: &mut Rng,
+    ) {
+        sv.mh = Some(MiniHeapId::from_raw(1));
+        sv.object_size = (4096 / object_count) as u32;
+        sv.span_bytes = 4096;
+        sv.span_starts = vec![SPAN];
+        sv.max = object_count as u16;
+        sv.off = object_count as u16;
+        sv.avail = [0; MAX_OBJECTS_PER_SPAN / 64];
+        for i in 0..object_count {
+            if bitmap.try_set(i) {
+                sv.off -= 1;
+                sv.list[sv.off as usize] = i as u8;
+                sv.avail[i / 64] |= 1 << (i % 64);
+            }
+        }
+        if sv.randomized {
+            rng.shuffle(&mut sv.list[sv.off as usize..object_count]);
+        }
+    }
+
+    /// The per-slot detach the word-wise one replaced: one `unset` per
+    /// unconsumed offset.
+    fn reference_detach(sv: &mut ShuffleVector, bitmap: &AtomicBitmap) {
+        for i in sv.off..sv.max {
+            assert!(bitmap.unset(sv.list[i as usize] as usize), "slot was not claimed");
+        }
+        sv.mh = None;
+        sv.off = 0;
+        sv.max = 0;
+        sv.avail = [0; MAX_OBJECTS_PER_SPAN / 64];
+    }
+
+    fn bitmap_with(len: usize, preset: &[usize]) -> AtomicBitmap {
+        let bm = AtomicBitmap::new(len);
+        for &i in preset {
+            bm.try_set(i);
+        }
+        bm
+    }
+
+    #[test]
+    fn word_attach_detach_match_per_slot_reference() {
+        use crate::size_classes::SizeClass;
+        // Every class's count, plus counts on and around word edges that
+        // no class has today (170 = 4096 / 24 among them).
+        let mut counts: Vec<usize> = SizeClass::all().map(|c| c.object_count()).collect();
+        counts.extend([1, 63, 65, 127, 129, 170, 191, 193, 255]);
+        for n in [85, 51, 42, 25, 21, 12, 10] {
+            assert!(counts.contains(&n), "class count {n} covered");
+        }
+        let mut gen = Rng::with_seed(0x5eed);
+        for &n in &counts {
+            for trial in 0..48u64 {
+                // Densities from empty to full, so whole words are both
+                // skipped and claimed.
+                let density = trial % 6;
+                let preset: Vec<usize> =
+                    (0..n).filter(|_| gen.in_range(0, 4) < density as u32).collect();
+                // Odd trials track more bits than the span has slots, so a
+                // claim that spills past the count would show.
+                let len = if trial % 2 == 0 { n } else { MAX_OBJECTS_PER_SPAN };
+                for randomized in [true, false] {
+                    let seed = trial * 1000 + n as u64;
+                    let (bm_ref, bm_new) = (bitmap_with(len, &preset), bitmap_with(len, &preset));
+                    let (mut rng_ref, mut rng_new) = (Rng::with_seed(seed), Rng::with_seed(seed));
+                    let mut reference = ShuffleVector::new(randomized);
+                    reference_attach(&mut reference, n, &bm_ref, &mut rng_ref);
+                    let mut sv = ShuffleVector::new(randomized);
+                    let mh = MiniHeapId::from_raw(1);
+                    sv.attach(mh, SPAN, 4096, n, 4096 / n, &bm_new, &mut rng_new);
+
+                    let ctx = format!("count {n} trial {trial} randomized {randomized}");
+                    assert_eq!(sv.free_offsets(), reference.free_offsets(), "order, {ctx}");
+                    assert_eq!(sv.avail, reference.avail, "avail, {ctx}");
+                    assert_eq!(bm_new.load_words(), bm_ref.load_words(), "claims, {ctx}");
+                    assert_eq!(bm_new.in_use(), n, "every slot claimed or live, {ctx}");
+                    for (w, bits) in bm_new.load_words().into_iter().enumerate() {
+                        let beyond = bits & !crate::bitmap::word_mask(n, w);
+                        assert_eq!(beyond, 0, "bit at or past the count set, {ctx}");
+                    }
+                    assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "same draws, {ctx}");
+
+                    // Partial consumption, then a few frees back, then detach.
+                    let take = gen.in_range(0, sv.available() as u32) as usize;
+                    let mut taken = vec![];
+                    for _ in 0..take {
+                        let (a, b) = (sv.malloc().unwrap(), reference.malloc().unwrap());
+                        assert_eq!(a, b, "same allocation, {ctx}");
+                        taken.push((a - SPAN) / sv.object_size());
+                    }
+                    for &slot in taken.iter().step_by(3) {
+                        assert!(unsafe { sv.free_slot(slot, &mut rng_new) });
+                        assert!(unsafe { reference.free_slot(slot, &mut rng_ref) });
+                    }
+                    let held = sv.avail;
+                    let before = bm_new.load_words();
+                    sv.detach(&bm_new);
+                    reference_detach(&mut reference, &bm_ref);
+                    let after = bm_new.load_words();
+                    for w in 0..4 {
+                        assert_eq!(after[w], before[w] & !held[w], "released held bits, {ctx}");
+                    }
+                    assert_eq!(after, bm_ref.load_words(), "detach matches reference, {ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -402,26 +402,24 @@ impl LatencySnapshot {
 
     /// The `q`-quantile (`0.0 ..= 1.0`) for `op`, reported as the upper
     /// bound of the bucket holding it (the HDR convention: an
-    /// overestimate by at most half an octave). Returns 0 with no
-    /// recordings; the overflow bucket reports the exact maximum.
+    /// overestimate by at most half an octave), clamped to the observed
+    /// maximum so no percentile exceeds `max_ns` (the overflow bucket
+    /// thus reports the exact maximum). Returns 0 with no recordings.
     pub fn percentile_ns(&self, op: TimedOp, q: f64) -> u64 {
         let total = self.count(op);
         if total == 0 {
             return 0;
         }
+        let max = self.max_ns(op);
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
         for (b, &c) in self.counts[op.index()].iter().enumerate() {
             seen += c;
             if seen >= target {
-                return if b == LATENCY_BUCKETS - 1 {
-                    self.max_ns(op)
-                } else {
-                    bucket_upper_ns(b)
-                };
+                return bucket_upper_ns(b).min(max);
             }
         }
-        self.max_ns(op)
+        max
     }
 
     /// Per-op difference against an earlier snapshot (bucket counts and
@@ -489,9 +487,25 @@ mod tests {
         assert!((96..=128).contains(&p50), "p50 {p50}");
         let p99 = s.percentile_ns(TimedOp::Refill, 0.99);
         assert!((10_000..=16_384).contains(&p99), "p99 {p99}");
-        assert_eq!(s.percentile_ns(TimedOp::Refill, 1.0), 6_291_456);
+        assert_eq!(s.percentile_ns(TimedOp::Refill, 1.0), 5_000_000, "clamped to the max");
         assert_eq!(s.count(TimedOp::MeshPass), 0);
         assert_eq!(s.percentile_ns(TimedOp::MeshPass, 0.5), 0);
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_observed_max() {
+        // One sample of 18582 ns sits in the bucket whose upper edge is
+        // 24576 ns; every percentile must read the sample itself.
+        let h = HistSet::default();
+        h.record(TimedOp::Refill, 18_582);
+        let s = h.snapshot();
+        assert_eq!(bucket_upper_ns(bucket_of(18_582)), 24_576);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(s.percentile_ns(TimedOp::Refill, q), 18_582, "q={q}");
+        }
+        // Below the max the bucket edge still stands.
+        h.record(TimedOp::Refill, 100_000);
+        assert_eq!(h.snapshot().percentile_ns(TimedOp::Refill, 0.5), 24_576);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! [`TransferCache::lock_all`] participates in fork quiescence; the guards
 //! are acquired after the arena lock in the canonical `lock_all` order.
 //!
+//! Each class mirrors its batch count in an atomic written under its
+//! mutex, so `pop`, `contains` and `room` on an empty class take no lock:
+//! a class that never caches anything costs one load per call.
+//!
 //! Objects parked here are invisible to occupancy accounting on purpose:
 //! their bits being set keeps `in_use > 0`, so the spans backing them can
 //! never be freed while a cached address is outstanding. Meshing passes
@@ -41,7 +45,33 @@ pub(crate) struct TransferCache {
     /// Max batches cached per class; 0 disables the cache (but not
     /// sender-side free batching).
     slots: usize,
-    classes: Vec<Mutex<Vec<Vec<usize>>>>,
+    classes: Vec<ClassCache>,
+}
+
+/// One size class's batch stack.
+#[derive(Debug)]
+struct ClassCache {
+    /// `stack.len()`, stored under the mutex after every change. Pushes
+    /// happen under the class shard lock, so a holder of that lock reads
+    /// an exact count; a lock-free `pop` may read a stale one and merely
+    /// miss (or lock an empty stack).
+    batches: AtomicUsize,
+    stack: Mutex<Vec<Vec<usize>>>,
+}
+
+impl ClassCache {
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.batches.load(Ordering::Acquire) == 0
+    }
+
+    /// Locks the stack, applies `f`, and republishes the count.
+    fn with<R>(&self, f: impl FnOnce(&mut Vec<Vec<usize>>) -> R) -> R {
+        let mut stack = self.stack.lock();
+        let out = f(&mut stack);
+        self.batches.store(stack.len(), Ordering::Release);
+        out
+    }
 }
 
 impl TransferCache {
@@ -49,7 +79,12 @@ impl TransferCache {
         TransferCache {
             batch: AtomicUsize::new(batch.max(1)),
             slots,
-            classes: (0..NUM_SIZE_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
+            classes: (0..NUM_SIZE_CLASSES)
+                .map(|_| ClassCache {
+                    batches: AtomicUsize::new(0),
+                    stack: Mutex::new(Vec::new()),
+                })
+                .collect(),
         }
     }
 
@@ -82,10 +117,11 @@ impl TransferCache {
 
     /// Pops one batch for a refill. Lock order: leaf only.
     pub fn pop(&self, class_idx: usize) -> Option<Vec<usize>> {
-        if !self.cache_enabled() {
+        let class = &self.classes[class_idx];
+        if !self.cache_enabled() || class.is_empty() {
             return None;
         }
-        self.classes[class_idx].lock().pop()
+        class.with(|stack| stack.pop())
     }
 
     /// How many more batches the class can accept. Stable while the
@@ -94,7 +130,11 @@ impl TransferCache {
         if !self.cache_enabled() {
             return 0;
         }
-        self.slots.saturating_sub(self.classes[class_idx].lock().len())
+        let class = &self.classes[class_idx];
+        if class.is_empty() {
+            return self.slots;
+        }
+        self.slots.saturating_sub(class.stack.lock().len())
     }
 
     /// Pushes one batch; returns it back on overflow (or when the cache
@@ -104,38 +144,37 @@ impl TransferCache {
         if !self.cache_enabled() || batch.is_empty() {
             return Err(batch);
         }
-        let mut stack = self.classes[class_idx].lock();
-        if stack.len() >= self.slots {
-            return Err(batch);
-        }
-        stack.push(batch);
-        Ok(())
+        self.classes[class_idx].with(|stack| {
+            if stack.len() >= self.slots {
+                return Err(batch);
+            }
+            stack.push(batch);
+            Ok(())
+        })
     }
 
     /// Whether `addr` is currently parked in the class's cache. Used by
     /// the drain path (under the class lock) to catch duplicate frees of
     /// cache-held objects across drain epochs.
     pub fn contains(&self, class_idx: usize, addr: usize) -> bool {
-        if !self.cache_enabled() {
+        let class = &self.classes[class_idx];
+        if !self.cache_enabled() || class.is_empty() {
             return false;
         }
-        self.classes[class_idx]
-            .lock()
-            .iter()
-            .any(|b| b.contains(&addr))
+        class.stack.lock().iter().any(|b| b.contains(&addr))
     }
 
     /// Removes and returns every cached batch for the class (meshing
     /// purge, heap teardown).
     pub fn take_all(&self, class_idx: usize) -> Vec<Vec<usize>> {
-        std::mem::take(&mut *self.classes[class_idx].lock())
+        self.classes[class_idx].with(std::mem::take)
     }
 
     /// Acquires every per-class guard, in index order, for fork
     /// quiescence. The guards are leaves; holding them all is safe from
     /// any lock state that already follows the canonical order.
     pub fn lock_all(&self) -> Vec<MutexGuard<'_, Vec<Vec<usize>>>> {
-        self.classes.iter().map(|m| m.lock()).collect()
+        self.classes.iter().map(|c| c.stack.lock()).collect()
     }
 }
 
@@ -200,6 +239,30 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(tc.room(0), 4);
         assert_eq!(tc.take_all(0), Vec::<Vec<usize>>::new());
+    }
+
+    #[test]
+    fn batch_count_tracks_every_change() {
+        let tc = TransferCache::new(2, 3);
+        let count = |c: usize| tc.classes[c].batches.load(Ordering::Relaxed);
+        assert_eq!(count(5), 0);
+        tc.try_push(5, vec![1, 2]).unwrap();
+        tc.try_push(5, vec![3]).unwrap();
+        assert_eq!(count(5), 2);
+        assert_eq!(tc.room(5), 1);
+        tc.try_push(5, vec![4]).unwrap();
+        assert!(tc.try_push(5, vec![6]).is_err(), "full");
+        assert_eq!(count(5), 3);
+        assert_eq!(tc.pop(5), Some(vec![4]));
+        assert_eq!(count(5), 2);
+        assert!(tc.contains(5, 3));
+        assert_eq!(tc.take_all(5).len(), 2);
+        assert_eq!(count(5), 0);
+        // Empty: answered from the count, with the mutex held elsewhere.
+        let _held = tc.classes[5].stack.lock();
+        assert_eq!(tc.pop(5), None);
+        assert!(!tc.contains(5, 3));
+        assert_eq!(tc.room(5), 3);
     }
 
     #[test]
