@@ -14,7 +14,7 @@
 //!   a shared cacheline.
 //! * `remote_ping_pong` — producer/consumer pairs where every free is
 //!   non-local: the lock-free queue-push path, the fast path's worst case.
-//! * `mixed_remote` — the transfer-cache scaling scenario: a ring of
+//! * `mixed_remote` — the remote-free batching scenario: a ring of
 //!   threads churning mixed size classes where ~¼ of frees are handed to
 //!   the ring neighbor (batched remote-free path) — measured at 2→32
 //!   threads (`MESH_BENCH_MAX_THREADS` caps the curve). The unit is a
@@ -25,8 +25,8 @@
 //!   flagged `"oversubscribed": true` in the JSON rather than being
 //!   passed off as a scaling result.
 //! * `server_loop` — waves of short-lived thread heaps with cross-wave
-//!   frees: the teardown path (detach-spill into the transfer cache,
-//!   sender-buffer flush) under churn.
+//!   frees: the teardown path (vector detach, sender-buffer flush) under
+//!   churn.
 //! * `class_sweep` — per-size-class single-thread churn, ns/op, catching
 //!   class-local regressions (e.g. a slow span geometry) that the single
 //!   headline number would average away.
@@ -316,8 +316,7 @@ fn mixed_remote(mesh: &Mesh, threads: usize, ops: usize) -> f64 {
 /// The server-loop scenario: `waves` successive generations of short-lived
 /// worker threads. Each worker churns briefly, then exits with objects
 /// still live; the *next* wave frees them (all remote). Thread teardown —
-/// detach-spill into the transfer cache plus the sender-buffer flush —
-/// runs once per worker instead of being amortized away. Returns aggregate
+/// vector detach plus the sender-buffer flush — runs once per worker instead of being amortized away. Returns aggregate
 /// ops/sec.
 fn server_loop(mesh: &Mesh, waves: usize, workers: usize, ops: usize) -> f64 {
     let total_ops = waves * workers * ops * 2;
@@ -461,7 +460,7 @@ fn main() {
     let remote_stats = m.stats();
     drop(m);
 
-    // --- mixed_remote scaling curve (transfer-cache scenario) -----------
+    // --- mixed_remote scaling curve (remote-free batching scenario) -----
     // Points up to the core count are genuine scaling measurements; one
     // final point above it (capped by MESH_BENCH_MAX_THREADS, default 32)
     // shows oversubscribed behaviour and is flagged as such.
@@ -575,12 +574,9 @@ fn main() {
         format!("{efficiency:.3}")
     );
     println!(
-        "{:<40} {:>16.0}   (hits/misses/spills {}/{}/{})",
+        "{:<40} {:>16.0}",
         format!("server_loop/16w x {workers}"),
-        server,
-        server_stats.transfer_hits,
-        server_stats.transfer_misses,
-        server_stats.transfer_spills
+        server
     );
     println!("\n{:<12} {:>12}", "class", "ns/op");
     for &(size, ns) in &sweep {

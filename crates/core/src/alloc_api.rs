@@ -903,7 +903,7 @@ impl ThreadHeap {
     /// Flushes this thread's buffered remote frees (and batched local
     /// statistics) to the global heap, making them visible to
     /// [`Mesh::stats`] from other threads. Buffers also flush implicitly
-    /// when they reach the transfer batch size and on drop.
+    /// when they reach the remote-free batch size and on drop.
     pub fn flush(&mut self) {
         with_internal_alloc(|| {
             self.core.flush_remote(&self.inner.state);

@@ -582,12 +582,16 @@ impl Arena {
     }
 
     /// Write-protects `span` (the §4.5.2 barrier's mprotect step).
-    pub fn protect_span(&mut self, span: Span) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MeshError::Map`] if the kernel refuses. Protecting part of
+    /// a mapping splits it, so once the process holds `vm.max_map_count`
+    /// mappings the call fails with `ENOMEM`.
+    pub fn protect_span(&mut self, span: Span) -> Result<(), MeshError> {
         unsafe {
-            // mprotect on an established mapping only fails for invalid
-            // arguments, which would be an internal bug.
             sys::protect_read(self.addr_of_page(span.offset) as *mut u8, span.byte_len())
-                .expect("mprotect(PROT_READ) failed on arena span");
+                .map_err(MeshError::Map)
         }
     }
 
@@ -772,7 +776,7 @@ mod tests {
         let (s, _) = a.alloc_span(1).unwrap();
         let p = a.addr_of_page(s.offset) as *mut u8;
         unsafe { *p = 1 };
-        a.protect_span(s);
+        a.protect_span(s).unwrap();
         unsafe { assert_eq!(*p, 1) };
         a.unprotect_span(s);
         unsafe { *p = 2 };

@@ -95,15 +95,6 @@ pub struct MeshConfig {
     /// Trace-dump destination (`MESH_TRACE_PATH`; `None` = stderr as a
     /// single `mesh-trace: ` line). The file is rewritten on each dump.
     pub(crate) trace_path: Option<PathBuf>,
-    /// Objects exchanged per transfer-cache batch (`MESH_TRANSFER_BATCH`).
-    /// 1 disables batching entirely: every remote free takes one queue
-    /// push and every refill goes straight to the class shard, exactly
-    /// the pre-transfer-cache behaviour.
-    pub(crate) transfer_batch: usize,
-    /// Batches parked per size class in the transfer cache
-    /// (`MESH_TRANSFER_CACHE_SLOTS`). 0 disables the middle tier (sender
-    /// side free batching stays on when `transfer_batch > 1`).
-    pub(crate) transfer_cache_slots: usize,
     /// Interval between mesh-sense polls (`MESH_SENSE_INTERVAL_MS`;
     /// `None` = sensing off). On by default at 1 Hz: each poll reads
     /// pressure/RSS sources, decomposes residency, and appends one
@@ -162,8 +153,6 @@ impl Default for MeshConfig {
             trace: false,
             trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB per ring
             trace_path: None,
-            transfer_batch: 32,
-            transfer_cache_slots: 8,
             sense_interval: Some(Duration::from_millis(1000)),
             sense_history: 120,
             sense_mincore_pages: 256,
@@ -361,30 +350,6 @@ impl MeshConfig {
     /// The configured trace-dump destination, if any.
     pub fn trace_dump_path(&self) -> Option<&std::path::Path> {
         self.trace_path.as_deref()
-    }
-
-    /// Sets the number of objects exchanged per transfer-cache batch
-    /// (`MESH_TRANSFER_BATCH`; 1 = no batching, legacy path).
-    pub fn transfer_batch(mut self, n: usize) -> Self {
-        self.transfer_batch = n;
-        self
-    }
-
-    /// Sets the number of batches parked per size class in the transfer
-    /// cache (`MESH_TRANSFER_CACHE_SLOTS`; 0 = no middle tier).
-    pub fn transfer_cache_slots(mut self, n: usize) -> Self {
-        self.transfer_cache_slots = n;
-        self
-    }
-
-    /// The configured objects-per-batch for the transfer cache.
-    pub fn transfer_batch_size(&self) -> usize {
-        self.transfer_batch
-    }
-
-    /// The configured per-class transfer-cache capacity in batches.
-    pub fn transfer_cache_slot_count(&self) -> usize {
-        self.transfer_cache_slots
     }
 
     /// Sets (or clears) the mesh-sense poll interval
@@ -610,18 +575,6 @@ impl MeshConfig {
                 self.trace_buf_events
             )));
         }
-        if !(1..=256).contains(&self.transfer_batch) {
-            return Err(MeshError::InvalidConfig(format!(
-                "transfer_batch {} outside 1..=256",
-                self.transfer_batch
-            )));
-        }
-        if self.transfer_cache_slots > 1024 {
-            return Err(MeshError::InvalidConfig(format!(
-                "transfer_cache_slots {} above 1024",
-                self.transfer_cache_slots
-            )));
-        }
         if self.harden.active() && self.harden.quarantine {
             if !(1..=1 << 20).contains(&self.harden.quarantine_slots) {
                 return Err(MeshError::InvalidConfig(format!(
@@ -692,8 +645,6 @@ impl MeshConfig {
     /// | `MESH_TRACE` | enable slow-path event tracing |
     /// | `MESH_TRACE_BUF_EVENTS` | per-ring trace capacity in events |
     /// | `MESH_TRACE_PATH` | trace-dump file (default: stderr) |
-    /// | `MESH_TRANSFER_BATCH` | objects per transfer-cache batch (1 = off) |
-    /// | `MESH_TRANSFER_CACHE_SLOTS` | cached batches per size class (0 = off) |
     /// | `MESH_SENSE_INTERVAL_MS` | mesh-sense poll period (0 = off; default 1000) |
     /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring |
     /// | `MESH_SENSE_MINCORE_PAGES` | pages sampled per poll (0 = no sweep) |
@@ -750,12 +701,6 @@ impl MeshConfig {
         }
         if let Some(path) = env_path("MESH_TRACE_PATH") {
             self = self.trace_path(Some(path));
-        }
-        if let Some(n) = env_u64("MESH_TRANSFER_BATCH") {
-            self = self.transfer_batch(n as usize);
-        }
-        if let Some(n) = env_u64("MESH_TRANSFER_CACHE_SLOTS") {
-            self = self.transfer_cache_slots(n as usize);
         }
         if let Some(ms) = env_u64("MESH_SENSE_INTERVAL_MS") {
             self = self.sense_interval((ms > 0).then(|| Duration::from_millis(ms)));
@@ -1083,19 +1028,6 @@ mod tests {
             .sense_mincore_pages((1 << 24) + 1)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn transfer_knobs_build_and_validate() {
-        let c = MeshConfig::default();
-        assert_eq!(c.transfer_batch_size(), 32);
-        assert_eq!(c.transfer_cache_slot_count(), 8);
-        let c = MeshConfig::default().transfer_batch(1).transfer_cache_slots(0);
-        assert_eq!(c.transfer_batch_size(), 1, "degenerate mode is valid");
-        assert!(c.validate().is_ok());
-        assert!(MeshConfig::default().transfer_batch(0).validate().is_err());
-        assert!(MeshConfig::default().transfer_batch(257).validate().is_err());
-        assert!(MeshConfig::default().transfer_cache_slots(1025).validate().is_err());
     }
 
     #[test]

@@ -44,7 +44,6 @@ use crate::telemetry::{
     self, CtlState, HeapSpectrum, MeshLedger, SenseSnapshot, SenseState, Telemetry, TimedOp,
     TraceSet, ABSENT, CTL_PARK,
 };
-use crate::transfer_cache::TransferCache;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -183,7 +182,6 @@ pub(crate) struct AllShardGuards<'a> {
     _classes: Vec<MutexGuard<'a, ClassState>>,
     _large: MutexGuard<'a, Slab>,
     _arena: MutexGuard<'a, Arena>,
-    _transfer: Vec<MutexGuard<'a, Vec<Vec<usize>>>>,
     _sched_mesh: MutexGuard<'a, Instant>,
     _sched_purge: MutexGuard<'a, Option<Instant>>,
     _sched_drain: MutexGuard<'a, Instant>,
@@ -401,9 +399,6 @@ pub(crate) struct GlobalHeap {
     pub arena: Mutex<Arena>,
     /// Lock-free page → MiniHeap routing table.
     pub page_map: PageMap,
-    /// The tcmalloc-style middle tier: per-class stacks of claimed-object
-    /// batches exchanged between thread heaps without the class lock.
-    pub(crate) transfer: TransferCache,
     /// Registry of live threads' sender-side remote-free buffers, so
     /// settled readers ([`GlobalHeap::drain_all`]) and the exhaustion
     /// fallback can flush frees still buffered in *other* threads. Weak:
@@ -478,7 +473,6 @@ impl GlobalHeap {
             large: Mutex::new(Slab::new()),
             arena: Mutex::new(arena),
             page_map: PageMap::new(pages as usize),
-            transfer: TransferCache::new(config.transfer_batch, config.transfer_cache_slots),
             senders: Mutex::new(Vec::new()),
             sender_epoch: AtomicU64::new(1),
             rt: RuntimeConfig::new(&config),
@@ -611,15 +605,6 @@ impl GlobalHeap {
     /// Applies every queued remote free of `class` under its (held) lock:
     /// the single-drainer side of the MPSC queue protocol.
     ///
-    /// Drained frees are *not* recycled into the transfer cache: a
-    /// recycled object's claim bit is set again, which would let a
-    /// duplicate free arriving in a later drain epoch — after the object
-    /// moved into some thread's popped batch — pass `unset` validation and
-    /// corrupt both the accounting and the cache. Only detach-spills feed
-    /// the cache, because spilled slots come from the shuffle vector's
-    /// avail mask and a hostile back-to-back duplicate cannot interleave
-    /// with a detach.
-    ///
     /// The applied frees' `frees`, `remote_frees` and `live_bytes` are
     /// summed over the drain and published once at its end.
     pub(crate) fn drain_class_locked(&self, class: SizeClass, st: &mut ClassState) {
@@ -677,12 +662,7 @@ impl GlobalHeap {
             if slot >= mh.object_count() || !offset.is_multiple_of(mh.object_size()) {
                 return invalid(self);
             }
-            // A cached (detach-spilled) object's claim bit is set, so
-            // `unset` alone would wave a duplicate of it through: catch
-            // shared-cache membership explicitly. (Objects in a thread's
-            // popped batch are invisible here — that residual window
-            // matches the pre-existing attached-vector one.)
-            if self.transfer.contains(class.index(), addr) || !mh.bitmap().unset(slot) {
+            if !mh.bitmap().unset(slot) {
                 self.counters.double_frees.fetch_add(1, Ordering::Relaxed);
                 self.harden_violation(HardenKind::DoubleFree, addr);
                 return None;
@@ -701,66 +681,6 @@ impl GlobalHeap {
             }
         }
         Some(object_size)
-    }
-
-    /// Un-claims an address whose bit was held by the transfer cache or a
-    /// thread's batch cache, *without* touching app accounting (its free
-    /// was counted when it entered the cache). The owning class's lock
-    /// must be held.
-    pub(crate) fn release_claimed(&self, class: SizeClass, st: &mut ClassState, addr: usize) {
-        let Some(page) = self.page_of_addr(addr) else { return };
-        let Some(info) = self.page_map.get(page) else { return };
-        if info.class_code as usize != class.index() {
-            return;
-        }
-        let (attached, now_empty) = {
-            let Some(mh) = st.slab.get(info.id) else { return };
-            let slot = (addr - info.span_start(self.base, page)) / mh.object_size();
-            let was_set = mh.bitmap().unset(slot);
-            debug_assert!(was_set, "cached object's claim bit must be set");
-            if !was_set {
-                return;
-            }
-            (mh.is_attached(), mh.in_use() == 0)
-        };
-        if !attached {
-            if now_empty {
-                self.free_miniheap_locked(st, info.id);
-            } else {
-                st.rebin(info.id);
-            }
-        }
-    }
-
-    /// Empties `class`'s transfer-cache slots back into the spans, so
-    /// occupancy reflects reality. Meshing calls this before collecting
-    /// candidates: a cached object keeps its claim bit set, which would
-    /// otherwise make a meshable span look occupied — and, worse, a span
-    /// whose only "live" objects sit in the cache would never be meshed
-    /// or reclaimed. The class lock must be held. Returns the number of
-    /// cached objects released (the ledger's "pinned by transfer cache"
-    /// signal: spans those objects sat in could not have been candidates
-    /// until this flush).
-    pub(crate) fn purge_transfer_locked(&self, class: SizeClass, st: &mut ClassState) -> u64 {
-        let mut released = 0u64;
-        for batch in self.transfer.take_all(class.index()) {
-            for addr in batch {
-                self.release_claimed(class, st, addr);
-                released += 1;
-            }
-        }
-        released
-    }
-
-    /// Empties every class's transfer cache (one class lock at a time):
-    /// the memory-pressure fallback, releasing spans kept alive only by
-    /// cached objects before the allocator reports exhaustion.
-    pub(crate) fn purge_transfer_all(&self) {
-        for class in SizeClass::all() {
-            let mut st = self.lock_class(class);
-            self.drain_class_locked(class, &mut st);
-            self.purge_transfer_locked(class, &mut st);
-        }
     }
 
     // ----- sender-buffer registry ---------------------------------------
@@ -893,7 +813,7 @@ impl GlobalHeap {
         let mut st = self.lock_class(class);
         self.counters.refills.fetch_add(1, Ordering::Relaxed);
         self.drain_class_locked(class, &mut st);
-        self.release_vector_locked(class, &mut st, sv);
+        self.release_vector_locked(&mut st, sv);
         let id = match st.select_partial() {
             Some(id) => id,
             None => self.fresh_miniheap_locked(&mut st, class)?,
@@ -924,84 +844,11 @@ impl GlobalHeap {
         }
         let mut st = self.lock_class(class);
         self.drain_class_locked(class, &mut st);
-        self.release_vector_locked(class, &mut st, sv);
+        self.release_vector_locked(&mut st, sv);
     }
 
-    /// Teardown path for a batched thread heap: detaches the vector *and*
-    /// returns the thread's popped-batch remainder (`cache`) to the
-    /// transfer cache, releasing claims that no longer fit.
-    pub fn release_vector_and_cache(
-        &self,
-        class: SizeClass,
-        sv: &mut ShuffleVector,
-        cache: &mut Vec<usize>,
-    ) {
-        if cache.is_empty() {
-            return self.release_vector(class, sv);
-        }
-        let mut st = self.lock_class(class);
-        self.drain_class_locked(class, &mut st);
-        self.release_vector_locked(class, &mut st, sv);
-        let t0 = Instant::now();
-        let returned = cache.len() as u64;
-        let batch = self.transfer.batch();
-        while !cache.is_empty() {
-            let n = batch.min(cache.len());
-            let chunk: Vec<usize> = cache.drain(cache.len() - n..).collect();
-            match self.transfer.try_push(class.index(), chunk) {
-                Ok(()) => {
-                    self.counters.transfer_spills.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(chunk) => {
-                    for addr in chunk {
-                        self.release_claimed(class, &mut st, addr);
-                    }
-                }
-            }
-        }
-        self.counters.record_slow(TimedOp::TransferSpill, t0, returned);
-    }
-
-    fn release_vector_locked(&self, class: SizeClass, st: &mut ClassState, sv: &mut ShuffleVector) {
+    fn release_vector_locked(&self, st: &mut ClassState, sv: &mut ShuffleVector) {
         let Some(old) = sv.miniheap() else { return };
-        // Detach-spill: when the span will survive detaching anyway (live
-        // objects beyond the vector's claims), park surplus vector slots
-        // in the transfer cache so the next refill skips the class lock.
-        // Only mostly-live spans spill (≥ half the slots hold objects the
-        // app still owns): a mostly-free span is a reclamation candidate,
-        // and cached claims would pin it — the free path could never
-        // destroy it once its last live object dies, and meshing would
-        // have to purge the cache to see its true occupancy.
-        if self.transfer.cache_enabled() && sv.available() > 0 {
-            let mh = st.slab.get(old).expect("attached id is live");
-            let (in_use, count) = (mh.in_use(), mh.object_count());
-            if in_use - sv.available() >= count.div_ceil(2) {
-                let t0 = Instant::now();
-                let mut spilled = 0u64;
-                let batch = self.transfer.batch();
-                let mut budget =
-                    (self.transfer.room(class.index()) * batch).min(sv.available());
-                while budget > 0 {
-                    let chunk = sv.spill(batch.min(budget));
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    budget -= chunk.len();
-                    spilled += chunk.len() as u64;
-                    match self.transfer.try_push(class.index(), chunk) {
-                        Ok(()) => {
-                            self.counters.transfer_spills.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(chunk) => {
-                            for addr in chunk {
-                                self.release_claimed(class, st, addr);
-                            }
-                        }
-                    }
-                }
-                self.counters.record_slow(TimedOp::TransferSpill, t0, spilled);
-            }
-        }
         {
             let mh = st.slab.get(old).expect("attached id is live");
             sv.detach(mh.bitmap());
@@ -1298,21 +1145,18 @@ impl GlobalHeap {
     // ----- fork support --------------------------------------------------
 
     /// Acquires every heap lock in the canonical order — size classes by
-    /// index, then the large shard, then the arena leaf, then the
-    /// transfer-cache leaves, then the scheduler leaves, then the
-    /// per-thread stats registry, then the sender-buffer registry, then
-    /// the telemetry dump clock, then the sense poll clock, then the
-    /// histogram-block registry, then the trace-ring registry, then the
-    /// ctl socket's I/O lock — quiescing the heap for `fork()`. Any
-    /// in-flight refill, drain, meshing pass, thread-block
-    /// (un)registration, or dump-clock claim completes before this
-    /// returns, so a child forked at any moment inherits consistent heap
-    /// state.
+    /// index, then the large shard, then the arena leaf, then the scheduler
+    /// leaves, then the per-thread stats registry, then the sender-buffer
+    /// registry, then the telemetry dump clock, then the sense poll clock,
+    /// then the histogram-block registry, then the trace-ring registry,
+    /// then the ctl socket's I/O lock — quiescing the heap for `fork()`.
+    /// Any in-flight refill, drain, meshing pass, thread-block
+    /// (un)registration, or dump-clock claim completes before this returns,
+    /// so a child forked at any moment inherits consistent heap state.
     pub(crate) fn lock_all(&self) -> AllShardGuards<'_> {
         let classes = SizeClass::all().map(|c| self.lock_class(c)).collect();
         let large = self.large.lock();
         let arena = self.lock_arena();
-        let transfer = self.transfer.lock_all();
         let (sched_mesh, sched_purge, sched_drain) = self.scheduler.lock_all();
         let stat_locals = self.counters.lock_locals();
         let senders = self.senders.lock();
@@ -1325,7 +1169,6 @@ impl GlobalHeap {
             _classes: classes,
             _large: large,
             _arena: arena,
-            _transfer: transfer,
             _sched_mesh: sched_mesh,
             _sched_purge: sched_purge,
             _sched_drain: sched_drain,
@@ -1491,12 +1334,12 @@ impl GlobalHeap {
     }
 
     /// Purges dirty pages and retires any segment left with all pages
-    /// clean. Transfer-cache claims are released first (one class lock at
-    /// a time, before the arena leaf): a span whose only "live" objects
-    /// sit in the cache would otherwise pin its pages committed forever.
+    /// clean. Queued remote frees are applied first (one class lock at a
+    /// time, before the arena leaf), so spans they empty are purged by
+    /// this call rather than the next one.
     pub fn purge_and_retire(&self) {
         let _pass = crate::stats::MeshPassScope::enter(&self.counters);
-        self.purge_transfer_all();
+        self.drain_all();
         let mut arena = self.lock_arena();
         arena.purge_dirty();
         arena.retire_empty_segments(&self.page_map);
@@ -1819,18 +1662,7 @@ mod tests {
 
     #[test]
     fn refill_attach_detach_cycle() {
-        // transfer_batch(1): legacy drain semantics (no recycling), so the
-        // drained free must rebin the span. Recycling behaviour has its
-        // own test below.
-        let h = GlobalHeap::new(
-            MeshConfig::default()
-                .arena_bytes(16 << 20)
-                .seed(7)
-                .write_barrier(false)
-                .transfer_batch(1),
-            Arc::new(Counters::default()),
-        )
-        .unwrap();
+        let h = heap();
         let class = SizeClass::for_size(128).unwrap();
         let mut sv = ShuffleVector::new(true);
         let mut rng = Rng::with_seed(1);
@@ -1852,9 +1684,20 @@ mod tests {
             assert_eq!(old.in_use(), class.object_count(), "all slots allocated");
             assert_eq!(old.bin, FULL_BIN);
         }
-        // Free one object globally: queued lock-free, applied at drain,
-        // after which it must drop out of the full bin.
-        assert!(h.free_global(a));
+        // Free one object through an unbatched core (the `GlobalAlloc`
+        // TLS heaps' route): one lock-free queue push, applied at drain,
+        // after which the span must drop out of the full bin.
+        let mut core = crate::local_heap::ThreadHeapCore::new(
+            2,
+            true,
+            2,
+            Arc::clone(&h.counters),
+            None,
+            false,
+        );
+        // SAFETY: `a` came from this heap's vector and is freed once.
+        unsafe { core.free(&h, a as *mut u8) };
+        assert_eq!(h.counters.snapshot().remote_free_queued, 1);
         {
             let st = h.lock_class(class);
             assert_eq!(st.slab.get(first).unwrap().bin, FULL_BIN, "not yet drained");
@@ -1862,69 +1705,6 @@ mod tests {
         h.drain_all();
         let st = h.lock_class(class);
         assert_eq!(st.slab.get(first).unwrap().bin, 0);
-    }
-
-    #[test]
-    fn detach_spills_surplus_into_transfer_cache() {
-        // Default batching knobs: a detach with avail slots — while other
-        // objects of the span are still app-live — parks the surplus in
-        // the transfer cache instead of handing it back to the span. A
-        // long mesh period keeps inline passes (which purge the cache)
-        // out of the way.
-        let h = GlobalHeap::new(
-            MeshConfig::default()
-                .arena_bytes(16 << 20)
-                .seed(7)
-                .write_barrier(false)
-                .mesh_period(Duration::from_secs(3600)),
-            Arc::new(Counters::default()),
-        )
-        .unwrap();
-        let class = SizeClass::for_size(128).unwrap();
-        let count = class.object_count();
-        let mut sv = ShuffleVector::new(true);
-        let mut rng = Rng::with_seed(1);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let first = sv.miniheap().unwrap();
-        let mut addrs = Vec::new();
-        while let Some(a) = sv.malloc() {
-            addrs.push(a);
-        }
-        // Locally free 10 objects back into the avail mask; the rest stay
-        // "app-live", so detaching cannot reclaim the span.
-        let returned: Vec<usize> = addrs.drain(..10).collect();
-        for &a in &returned {
-            unsafe { sv.free(a, &mut rng) };
-        }
-        h.release_vector(class, &mut sv);
-        {
-            let st = h.lock_class(class);
-            let mh = st.slab.get(first).unwrap();
-            assert_eq!(mh.bin, FULL_BIN, "spilled claims keep occupancy");
-            assert_eq!(mh.in_use(), count, "cached slots stay claimed");
-        }
-        for &a in &returned {
-            assert!(h.transfer.contains(class.index(), a), "address parked");
-        }
-        assert_eq!(h.counters.snapshot().transfer_spills, 1, "one batch pushed");
-        // A hostile free of a cache-held address is caught by membership.
-        assert!(h.free_global(returned[0]), "push is optimistic");
-        h.drain_all();
-        let s = h.counters.snapshot();
-        assert_eq!(s.frees, 0);
-        assert_eq!(s.double_frees, 1, "cache membership caught the dup");
-        // The parked batch refills a vector without touching the shard.
-        let popped = h.transfer.pop(class.index()).unwrap();
-        assert_eq!(popped.len(), 10);
-        // Purging returns the claims to the span: occupancy drops and the
-        // span rebins as partial (the meshing-truthfulness hook).
-        let mut st = h.lock_class(class);
-        for a in popped {
-            h.release_claimed(class, &mut st, a);
-        }
-        let mh = st.slab.get(first).unwrap();
-        assert_eq!(mh.in_use(), count - 10);
-        assert!(mh.bin < FULL_BIN, "span visible to meshing again");
     }
 
     #[test]

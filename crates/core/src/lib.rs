@@ -89,7 +89,6 @@ pub mod stats;
 mod sync;
 pub mod sys;
 pub mod telemetry;
-mod transfer_cache;
 
 mod alloc_api;
 

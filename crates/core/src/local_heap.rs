@@ -27,7 +27,7 @@
 use crate::global_heap::GlobalHeap;
 use crate::harden::HardenKind;
 use crate::page_map::PageInfo;
-use crate::remote_free::SenderBufs;
+use crate::remote_free::{SenderBufs, REMOTE_FREE_BATCH};
 use crate::rng::Rng;
 use crate::shuffle_vector::ShuffleVector;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES};
@@ -66,7 +66,7 @@ pub(crate) struct ThreadHeapCore {
     /// Fast-path counter deltas (single-writer; see [`LocalCounters`]).
     local: Arc<LocalCounters>,
     /// Per-thread latency histogram block (single-writer, like `local`):
-    /// the refill and transfer-flush timings land here without RMWs.
+    /// the refill and sender-flush timings land here without RMWs.
     hists: Arc<LocalHists>,
     /// Per-thread trace-event ring, present only under `MESH_TRACE=1`.
     /// Registered with the heap's [`crate::telemetry::TraceSet`]; the set
@@ -79,7 +79,7 @@ pub(crate) struct ThreadHeapCore {
     /// fast path then pays exactly one branch on this field).
     sampler: Option<Box<ThreadSampler>>,
     /// Per-class sender-side buffers of small remote frees, flushed as one
-    /// queue node per `transfer.batch()` frees (empty when `!batched`).
+    /// queue node per [`REMOTE_FREE_BATCH`] frees (empty when `!batched`).
     /// Shared (via the global heap's sender registry) so stats snapshots
     /// and the exhaustion fallback can flush them from any thread.
     remote_bufs: Arc<SenderBufs>,
@@ -87,12 +87,9 @@ pub(crate) struct ThreadHeapCore {
     /// never. The forked child bumps the heap's epoch after clearing its
     /// registry, which makes every surviving core re-register lazily.
     sender_epoch: u64,
-    /// Per-class remainder of a transfer-cache batch popped for refills:
-    /// claimed addresses this thread hands out before touching any lock.
-    cache: Vec<Vec<usize>>,
-    /// Whether this core participates in batched exchange. False for
-    /// cores that are never detached (the `GlobalAlloc` TLS heaps), whose
-    /// buffers could otherwise strand objects forever.
+    /// Whether this core buffers its remote frees. False for cores that
+    /// are never detached (the `GlobalAlloc` TLS heaps), whose buffers
+    /// could otherwise strand frees forever.
     batched: bool,
     /// Delayed-reuse quarantine (hardened mode, `MESH_HARDEN` with
     /// quarantine on): locally freed objects are parked here — poisoned,
@@ -115,8 +112,8 @@ impl ThreadHeapCore {
     /// Creates a detached thread heap with identity `token`, registering
     /// its statistics delta block with `counters` and — when profiling is
     /// on — a private sampler feeding `telemetry`. `batched` opts into
-    /// the transfer-cache exchange; pass false for cores with no teardown
-    /// path to flush their buffers.
+    /// sender-side remote-free batching; pass false for cores with no
+    /// teardown path to flush their buffers.
     pub fn new(
         seed: u64,
         randomize: bool,
@@ -138,7 +135,6 @@ impl ThreadHeapCore {
             sampler: telemetry.map(|t| Box::new(ThreadSampler::new(t, seed))),
             remote_bufs: Arc::new(SenderBufs::new()),
             sender_epoch: 0,
-            cache: (0..NUM_SIZE_CLASSES).map(|_| Vec::new()).collect(),
             batched,
             quarantine: Vec::new(),
             quarantine_set: std::collections::HashSet::new(),
@@ -181,9 +177,8 @@ impl ThreadHeapCore {
         };
         let idx = class.index();
         // Memory-pressure escalation (see the refill-failure arm below):
-        // 0 = normal, 1 = after flushing our own buffered remote frees,
-        // 2 = after purging the shared transfer cache.
-        let mut pressure = 0u8;
+        // one retry after flushing every sender's buffered remote frees.
+        let mut flushed = false;
         loop {
             if let Some(addr) = self.vectors[idx].malloc() {
                 // Hardened mode: the slot held poison since it was freed
@@ -196,30 +191,6 @@ impl ThreadHeapCore {
                 }
                 return addr as *mut u8;
             }
-            // Vector exhausted: serve from the thread's popped batch, or
-            // pop a fresh transfer-cache batch — both without the class
-            // lock — before paying for a shard refill.
-            if self.batched {
-                if self.cache[idx].is_empty() && state.transfer.cache_enabled() {
-                    match state.transfer.pop(idx) {
-                        Some(batch) => {
-                            state.counters.transfer_hits.fetch_add(1, Ordering::Relaxed);
-                            self.cache[idx] = batch;
-                        }
-                        None => {
-                            state.counters.transfer_misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                if let Some(addr) = self.cache[idx].pop() {
-                    state.verify_poison(addr, class.object_size(), idx);
-                    self.local.on_malloc(class.object_size());
-                    if let Some(s) = self.sampler.as_deref_mut() {
-                        s.on_alloc(addr, class.object_size());
-                    }
-                    return addr as *mut u8;
-                }
-            }
             // Refill boundary: already taking the class lock, so fold the
             // batched deltas into the shared counters while we are here.
             self.counters.flush_local(&self.local);
@@ -227,20 +198,15 @@ impl ThreadHeapCore {
             let refilled = state.refill(&mut self.vectors[idx], class, self.token, &mut self.rng);
             self.record_op(TimedOp::Refill, refill_t0, idx as u64);
             if refilled.is_err() {
-                // Before reporting exhaustion, return memory the heap is
-                // sitting on: first every sender's buffered remote frees
-                // (sub-batch buffers can pin the last free spans), then
-                // the whole transfer cache (cached objects keep their
-                // spans alive). Each step retries the full fast path.
-                match pressure {
-                    0 => {
-                        self.flush_remote(state);
-                        state.flush_all_senders();
-                    }
-                    1 => state.purge_transfer_all(),
-                    _ => return std::ptr::null_mut(),
+                // Before reporting exhaustion, hand every sender's
+                // buffered remote frees to the queues (sub-batch buffers
+                // can pin the last free spans) and retry once.
+                if flushed {
+                    return std::ptr::null_mut();
                 }
-                pressure += 1;
+                self.flush_remote(state);
+                state.flush_all_senders();
+                flushed = true;
             }
         }
     }
@@ -312,11 +278,6 @@ impl ThreadHeapCore {
             // defers reuse behind the queue drain, and large objects are
             // covered by guard pages instead.
             if let FreeRoute::Local { class_idx, slot } = self.route(state, addr) {
-                if !self.cache[class_idx].is_empty() && self.cache[class_idx].contains(&addr) {
-                    state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                    state.harden_violation(HardenKind::DoubleFree, addr);
-                    return;
-                }
                 let sv = &self.vectors[class_idx];
                 if sv.is_available(slot) {
                     state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
@@ -339,17 +300,6 @@ impl ThreadHeapCore {
     unsafe fn free_now(&mut self, state: &GlobalHeap, addr: usize) {
         match self.route(state, addr) {
             FreeRoute::Local { class_idx, slot } => {
-                // A batch-cache-held slot has its claim bit set but is not
-                // in the vector's avail mask, so `free_slot` alone would
-                // accept a duplicate free of it *and* leave the address
-                // parked for a second hand-out. The membership scan is
-                // bounded by one batch and only runs while a partially
-                // consumed batch exists for this class.
-                if !self.cache[class_idx].is_empty() && self.cache[class_idx].contains(&addr) {
-                    state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                    state.harden_violation(HardenKind::DoubleFree, addr);
-                    return;
-                }
                 let sv = &mut self.vectors[class_idx];
                 if sv.free_slot(slot, &mut self.rng) {
                     let size = sv.object_size();
@@ -368,10 +318,9 @@ impl ThreadHeapCore {
             }
             FreeRoute::Global { page, info } => {
                 // Small remote frees are buffered per class and flushed as
-                // one queue node per batch: the sender-side half of the
-                // transfer-cache amortization. Large objects (immediate
-                // page release) stay on the direct path.
-                if self.batched && !info.is_large() && state.transfer.batching_enabled() {
+                // one queue node per batch. Large objects (immediate page
+                // release) stay on the direct path.
+                if self.batched && !info.is_large() {
                     // Make the buffers reachable by stats snapshots and the
                     // exhaustion fallback before the first free can hide in
                     // them. The epoch compare keeps this to one branch per
@@ -397,7 +346,7 @@ impl ThreadHeapCore {
                     // frees of the same address. The buf lock is a leaf —
                     // drop it before the queue push takes nothing, but
                     // settle_after_free may take shard locks.
-                    let full = if buf.len() >= state.transfer.batch() {
+                    let full = if buf.len() >= REMOTE_FREE_BATCH {
                         Some(std::mem::take(&mut *buf))
                     } else {
                         None
@@ -479,20 +428,13 @@ impl ThreadHeapCore {
     }
 
     /// Returns every attached MiniHeap to its class shard (thread exit),
-    /// flushes the remote-free buffers, parks the thread's batch-cache
-    /// remainders back in the transfer cache, and flushes the batched
-    /// statistics deltas. Nothing this thread held can be stranded.
+    /// flushes the remote-free buffers and the batched statistics deltas.
+    /// Nothing this thread held can be stranded.
     pub fn detach_all(&mut self, state: &GlobalHeap) {
         self.drain_quarantine(state);
         self.flush_remote(state);
         for (idx, sv) in self.vectors.iter_mut().enumerate() {
-            if sv.miniheap().is_some() || !self.cache[idx].is_empty() {
-                state.release_vector_and_cache(
-                    SizeClass::from_index(idx),
-                    sv,
-                    &mut self.cache[idx],
-                );
-            }
+            state.release_vector(SizeClass::from_index(idx), sv);
         }
         self.counters.flush_local(&self.local);
     }

@@ -28,9 +28,11 @@
 //! make concurrent passes safe, and the scheduler's claim-based timer
 //! makes them rare.
 
+use crate::arena::Arena;
 use crate::global_heap::{ClassState, GlobalHeap, PARTIAL_BINS};
 use crate::miniheap::MiniHeapId;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
+use crate::span::Span;
 use crate::sys::ReleaseStrategy;
 use crate::telemetry::{PassRecord, RejectReason, TimedOp, REJECT_REASONS};
 use std::sync::atomic::Ordering;
@@ -98,12 +100,6 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
         if !class.is_meshable() {
             continue;
         }
-        // Cached objects hold claim bits that inflate occupancy; return
-        // them to their spans so candidate collection sees the truth (and
-        // empty-but-cached spans get reclaimed rather than pinned). Every
-        // flushed object marks a span the cache was pinning.
-        rejected[RejectReason::PinnedTransfer as usize] +=
-            heap.purge_transfer_locked(class, &mut st);
         // The selection phase is timed even when it comes up dry: the
         // partial-bin scan is the `t`-bounded search cost the histogram
         // exists to expose, and a dry scan (arg 0) is still that cost.
@@ -125,7 +121,9 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
         heap.counters
             .record_slow(TimedOp::MeshCandidates, select_t0, pairs.len() as u64);
         for (a, b) in pairs {
-            mesh_pair(heap, &mut st, class, a, b, &mut summary, &mut rejected);
+            if !mesh_pair(heap, &mut st, class, a, b, &mut summary, &mut rejected) {
+                break;
+            }
         }
     }
     let nanos = t0.elapsed().as_nanos() as u64;
@@ -231,6 +229,11 @@ fn split_mesher(
 /// (fewer bytes to copy), retargets the source's virtual spans, and
 /// releases the source's physical span (§4.5). The caller holds the class
 /// lock; the arena lock is held across the VM operations.
+///
+/// Returns false when the kernel refused to write-protect a source span:
+/// the pair is left exactly as found (counted as a copy abort) and the
+/// caller meshes no further pairs of the class, since every remaining
+/// pair would need the same kind of mapping split.
 fn mesh_pair(
     heap: &GlobalHeap,
     st: &mut ClassState,
@@ -239,7 +242,7 @@ fn mesh_pair(
     b: MiniHeapId,
     summary: &mut MeshSummary,
     rejected: &mut [u64; REJECT_REASONS],
-) {
+) -> bool {
     // Destination = more live objects → we copy the smaller side. Ties
     // break segment-aware: evacuate the span whose segment has fewer
     // outstanding pages, so sparse segments drain toward retirement.
@@ -286,8 +289,12 @@ fn mesh_pair(
     if let Some(guard) = arena.barrier() {
         guard.begin_meshing();
     }
-    for &vs in &src_spans {
-        arena.protect_span(vs);
+    for (i, &vs) in src_spans.iter().enumerate() {
+        if arena.protect_span(vs).is_err() {
+            abort_copy_window(&mut arena, &src_spans[..i]);
+            rejected[RejectReason::CopyAbort as usize] += 1;
+            return false;
+        }
     }
 
     // Hardened canary sweep: with the sources frozen behind the barrier,
@@ -314,17 +321,10 @@ fn mesh_pair(
             }
         }
         if let Some(addr) = bad {
-            // Unwind the copy window: restore write access and drop the
-            // barrier, leaving both spans exactly as found.
-            for &vs in &src_spans {
-                arena.unprotect_span(vs);
-            }
-            if let Some(guard) = arena.barrier() {
-                guard.end_meshing();
-            }
+            abort_copy_window(&mut arena, &src_spans);
             rejected[RejectReason::CanaryTrip as usize] += 1;
             heap.harden_violation(crate::harden::HardenKind::Canary, addr);
-            return;
+            return true;
         }
     }
 
@@ -393,6 +393,19 @@ fn mesh_pair(
 
     summary.pairs_meshed += 1;
     summary.pages_released += src_primary.pages as usize;
+    true
+}
+
+/// Unwinds a copy window before any object moved: restores write access
+/// to the `protected` source spans and drops the barrier, leaving both
+/// spans of the pair exactly as found.
+fn abort_copy_window(arena: &mut Arena, protected: &[Span]) {
+    for &vs in protected {
+        arena.unprotect_span(vs);
+    }
+    if let Some(guard) = arena.barrier() {
+        guard.end_meshing();
+    }
 }
 
 /// Pure helper exposed for tests and the theory crate: would these two

@@ -222,22 +222,6 @@ impl ShuffleVector {
         Some(self.span_starts[0] + off as usize * self.object_size as usize)
     }
 
-    /// Pulls up to `n` objects out of the vector for a transfer-cache
-    /// batch. From the vector's perspective a spill *is* allocation —
-    /// the offsets leave the list and the avail mask, while the MiniHeap
-    /// bitmap bits stay claimed — so the addresses are exactly as safe to
-    /// park as if an application held them.
-    pub fn spill(&mut self, n: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(n.min(self.available()));
-        for _ in 0..n {
-            match self.malloc() {
-                Some(addr) => out.push(addr),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Whether `addr` falls inside any virtual span of the attached
     /// MiniHeap (the `contains` check on the local-free path, Fig 4).
     #[inline]
@@ -339,26 +323,6 @@ mod tests {
         let (sv, bitmap, _) = attached(256, true, 3);
         assert_eq!(bitmap.in_use(), 256);
         assert_eq!(sv.available(), 256);
-    }
-
-    #[test]
-    fn spill_behaves_like_allocation() {
-        let (mut sv, bitmap, _) = attached(64, true, 7);
-        let batch = sv.spill(16);
-        assert_eq!(batch.len(), 16);
-        assert_eq!(sv.available(), 48);
-        assert_eq!(bitmap.in_use(), 64, "spilled claims stay set");
-        // Spilled addresses are distinct, in-span, and never handed out
-        // again by subsequent mallocs.
-        let spilled: HashSet<usize> = batch.iter().copied().collect();
-        assert_eq!(spilled.len(), 16);
-        while let Some(addr) = sv.malloc() {
-            assert!(!spilled.contains(&addr));
-        }
-        // Over-asking drains what's left without panicking.
-        let (mut sv2, _b, _) = attached(16, false, 1);
-        assert_eq!(sv2.spill(64).len(), 16);
-        assert_eq!(sv2.available(), 0);
     }
 
     #[test]

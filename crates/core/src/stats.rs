@@ -140,14 +140,6 @@ pub struct Counters {
     pub remote_free_queued: AtomicU64,
     /// Remote-free queue entries applied under a class lock.
     pub remote_free_drained: AtomicU64,
-    /// Refills served by popping a transfer-cache batch (no class lock).
-    pub transfer_hits: AtomicU64,
-    /// Refills that found the transfer cache empty and fell back to the
-    /// class shard.
-    pub transfer_misses: AtomicU64,
-    /// Batches pushed into the transfer cache (drain recycling, detach
-    /// spills, thread-cache returns).
-    pub transfer_spills: AtomicU64,
     /// Sender-side remote-free batches flushed as single queue nodes.
     pub remote_free_batches: AtomicU64,
     /// Times a class lock was found contended (per size class): the
@@ -395,9 +387,9 @@ impl Counters {
             refills: self.refills.load(Ordering::Relaxed),
             remote_free_queued: self.remote_free_queued.load(Ordering::Relaxed),
             remote_free_drained: self.remote_free_drained.load(Ordering::Relaxed),
-            transfer_hits: self.transfer_hits.load(Ordering::Relaxed),
-            transfer_misses: self.transfer_misses.load(Ordering::Relaxed),
-            transfer_spills: self.transfer_spills.load(Ordering::Relaxed),
+            transfer_hits: 0,
+            transfer_misses: 0,
+            transfer_spills: 0,
             remote_free_batches: self.remote_free_batches.load(Ordering::Relaxed),
             class_lock_contention: std::array::from_fn(|i| {
                 self.class_lock_contention[i].load(Ordering::Relaxed)
@@ -480,11 +472,14 @@ pub struct HeapStats {
     pub remote_free_queued: u64,
     /// Queued remote frees applied under their class lock.
     pub remote_free_drained: u64,
-    /// Refills served by popping a transfer-cache batch (no class lock).
+    /// Always 0. The per-class transfer cache these three fields counted
+    /// was removed: it was fed only by thread-teardown spills and hit 0%
+    /// of refills on the benchmark workloads. The fields stay so existing
+    /// readers of `HeapStats` keep compiling; they go once none remain.
     pub transfer_hits: u64,
-    /// Refills that missed the transfer cache and took the class lock.
+    /// Always 0; see [`HeapStats::transfer_hits`].
     pub transfer_misses: u64,
-    /// Batches pushed into the transfer cache (recycle/spill/return).
+    /// Always 0; see [`HeapStats::transfer_hits`].
     pub transfer_spills: u64,
     /// Sender-side remote-free batches flushed as single queue nodes.
     pub remote_free_batches: u64,
@@ -600,8 +595,7 @@ impl HeapStats {
              mapped_bytes={} large_allocs={} remote_frees={} invalid_frees={} double_frees={} \
              reallocs_in_place={} mesh_passes={} pairs_meshed={} mesh_pages_released={} \
              pages_purged={} segments={} segments_created={} segments_retired={} forks={} \
-             transfer_hits={} transfer_misses={} transfer_spills={} remote_free_batches={} \
-             uptime_ms={}",
+             remote_free_batches={} uptime_ms={}",
             self.mallocs,
             self.frees,
             self.live_bytes,
@@ -621,9 +615,6 @@ impl HeapStats {
             self.segments_created,
             self.segments_retired,
             self.forks,
-            self.transfer_hits,
-            self.transfer_misses,
-            self.transfer_spills,
             self.remote_free_batches,
             self.uptime_ms,
         );
@@ -731,7 +722,6 @@ mod tests {
         assert!(line.contains("mallocs=7"));
         assert!(line.contains("pairs_meshed=2"));
         assert!(line.contains("forks=1"));
-        assert!(line.contains("transfer_hits=0"));
         assert!(line.contains("remote_free_batches=0"));
         assert!(line.contains("harden_poison=3"), "{line}");
         assert!(line.contains("harden_double_free=0"), "{line}");

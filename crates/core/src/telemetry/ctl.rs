@@ -36,7 +36,7 @@
 //! `set` accepts only knobs whose application is a single atomic store
 //! on state that every reader already tolerates changing between two
 //! loads: `meshing`, `mesh_period_ms`, `probe_limit`,
-//! `sense_interval_ms`, `trace`, `prof_sample_bytes`, `transfer_batch`.
+//! `sense_interval_ms`, `trace`, `prof_sample_bytes`.
 //! Structural configuration (arena size, size classes, hardening,
 //! enabling a subsystem that was built disabled) is rejected — those
 //! choices sized tables and spawned state at heap birth, and no lock
@@ -488,7 +488,7 @@ fn parse(line: &str) -> Result<Request<'_>, &'static str> {
 /// The command list returned by `help`.
 const HELP: &str = "stats prom profile pprof trace sense ledger spectrum \
 mesh_now madvise_now set help\nknobs: meshing mesh_period_ms probe_limit \
-sense_interval_ms trace prof_sample_bytes transfer_batch";
+sense_interval_ms trace prof_sample_bytes";
 
 impl crate::global_heap::GlobalHeap {
     /// Serves one beat of the control socket, if one is configured.
@@ -642,13 +642,6 @@ impl crate::global_heap::GlobalHeap {
                     t.set_sample_bytes(bytes as usize);
                     ack(t.sample_bytes() as u64)
                 }
-            },
-            "transfer_batch" => match parse_u64(value) {
-                Ok(n) => {
-                    self.transfer.set_batch(n as usize);
-                    ack(self.transfer.batch() as u64)
-                }
-                Err(e) => e,
             },
             _ => Response::err("unknown knob (try: help)"),
         }

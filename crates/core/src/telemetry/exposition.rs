@@ -176,21 +176,6 @@ pub(crate) fn prom_text(
         ),
         ("mesh_forks_total", "Heap privatizations in forked children.", stats.forks),
         (
-            "mesh_transfer_hits_total",
-            "Refills served by popping a transfer-cache batch.",
-            stats.transfer_hits,
-        ),
-        (
-            "mesh_transfer_misses_total",
-            "Refills that missed the transfer cache.",
-            stats.transfer_misses,
-        ),
-        (
-            "mesh_transfer_spills_total",
-            "Batches pushed into the transfer cache.",
-            stats.transfer_spills,
-        ),
-        (
             "mesh_remote_free_batches_total",
             "Sender-side remote-free batches flushed as single queue nodes.",
             stats.remote_free_batches,
@@ -676,7 +661,7 @@ mod tests {
             cgroup_usage_bytes: 9 << 20,
             ..Default::default()
         };
-        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0, 0]);
+        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0]);
 
         let mut kinds: std::collections::HashMap<String, String> = Default::default();
         let mut last_help: Option<String> = None;
@@ -747,7 +732,7 @@ mod tests {
         assert!(!text.contains("mesh_pressure_psi_avg60"), "ABSENT source elided");
         assert!(!text.contains("mesh_cgroup_limit_bytes"), "unlimited cgroup elided");
         assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"} 3\n"));
-        assert!(text.contains("mesh_pass_rejected_total{reason=\"pinned_transfer\"} 1\n"));
+        assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"} 1\n"));
     }
 
     /// Pins the names of the hostile-input counter families and the

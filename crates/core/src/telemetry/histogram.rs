@@ -34,7 +34,7 @@ pub const LATENCY_BUCKETS: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum TimedOp {
-    /// Shuffle-vector refill: transfer-cache pop or class-shard visit.
+    /// Shuffle-vector refill (one class-shard visit).
     Refill = 0,
     /// Contended class-shard lock acquisition (blocked time only).
     ClassLockWait = 1,
@@ -45,30 +45,28 @@ pub enum TimedOp {
     MutatorPause = 3,
     /// Remote-free queue drain under a class lock.
     RemoteDrain = 4,
-    /// Batch push into the transfer cache (spill side).
-    TransferSpill = 5,
     /// Sender-side remote-free batch flush.
-    TransferFlush = 6,
+    TransferFlush = 5,
     /// Mesh-pass phase 1: candidate collection + SplitMesher probing.
-    MeshCandidates = 7,
+    MeshCandidates = 6,
     /// Mesh-pass phase 2: write-protect + copy window (the §4.5.2
     /// barrier is up for exactly this duration).
-    MeshCopy = 8,
+    MeshCopy = 7,
     /// Mesh-pass phase 3: physical release + virtual remap.
-    MeshRemap = 9,
+    MeshRemap = 8,
     /// One whole meshing pass (all classes).
-    MeshPass = 10,
+    MeshPass = 9,
     /// Mapping a new segment (memfd + mmap).
-    SegmentGrow = 11,
+    SegmentGrow = 10,
     /// Retiring empty segments (unmap back to the reservation).
-    SegmentRetire = 12,
+    SegmentRetire = 11,
     /// Physical-page release calls (`madvise`/hole punching), including
     /// dirty purges.
-    Madvise = 13,
+    Madvise = 12,
 }
 
 /// Number of [`TimedOp`] variants (array dimension).
-pub const NUM_TIMED_OPS: usize = 14;
+pub const NUM_TIMED_OPS: usize = 13;
 
 /// All ops, in discriminant order.
 pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
@@ -77,7 +75,6 @@ pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
     TimedOp::ArenaLockWait,
     TimedOp::MutatorPause,
     TimedOp::RemoteDrain,
-    TimedOp::TransferSpill,
     TimedOp::TransferFlush,
     TimedOp::MeshCandidates,
     TimedOp::MeshCopy,
@@ -103,7 +100,6 @@ impl TimedOp {
             TimedOp::ArenaLockWait => "arena_lock_wait",
             TimedOp::MutatorPause => "mutator_pause",
             TimedOp::RemoteDrain => "remote_drain",
-            TimedOp::TransferSpill => "transfer_spill",
             TimedOp::TransferFlush => "transfer_flush",
             TimedOp::MeshCandidates => "mesh_candidates",
             TimedOp::MeshCopy => "mesh_copy",
@@ -124,7 +120,6 @@ impl TimedOp {
             TimedOp::ArenaLockWait => "mesh_arena_lock_wait_seconds",
             TimedOp::MutatorPause => "mesh_mutator_pause_seconds",
             TimedOp::RemoteDrain => "mesh_remote_drain_seconds",
-            TimedOp::TransferSpill => "mesh_transfer_spill_seconds",
             TimedOp::TransferFlush => "mesh_transfer_flush_seconds",
             TimedOp::MeshCandidates => "mesh_mesh_candidates_seconds",
             TimedOp::MeshCopy => "mesh_mesh_copy_seconds",

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const LEDGER_PASSES: usize = 64;
 
 /// Number of distinct rejection reasons.
-pub const REJECT_REASONS: usize = 5;
+pub const REJECT_REASONS: usize = 4;
 
 /// Why a candidate pair (or candidate span) failed to mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,26 +28,23 @@ pub enum RejectReason {
     /// The bitmaps overlap (§3.3 probe miss), or merging would exceed the
     /// `max_span_count` alias budget.
     OccupancyOverlap = 0,
-    /// Objects were pinned in the transfer cache when the pass started and
-    /// had to be flushed back before their spans could be considered.
-    PinnedTransfer = 1,
     /// The class shard lock was contended when the pass claimed it, so the
     /// pass ran against a heap another thread was mutating moments before.
-    ClassContention = 2,
-    /// A pair was abandoned mid-copy. Structurally zero in the current
-    /// single-lock pass (the class lock is held end to end); recorded so a
-    /// future concurrent mesher inherits the accounting slot.
-    CopyAbort = 3,
+    ClassContention = 1,
+    /// A pair was abandoned mid-copy because the kernel refused to
+    /// write-protect a source span (`mprotect` fails with `ENOMEM` once
+    /// the process reaches `vm.max_map_count` mappings). The pass meshes
+    /// no further pairs of that class.
+    CopyAbort = 2,
     /// Hardened mode found a corrupted free-slot canary inside the copy
     /// window and refused to mesh the pair (`MESH_HARDEN` with the canary
     /// sweep on; also surfaces as a `harden_canary` violation).
-    CanaryTrip = 4,
+    CanaryTrip = 3,
 }
 
 /// Every reason, in counter-index order.
 pub const ALL_REJECT_REASONS: [RejectReason; REJECT_REASONS] = [
     RejectReason::OccupancyOverlap,
-    RejectReason::PinnedTransfer,
     RejectReason::ClassContention,
     RejectReason::CopyAbort,
     RejectReason::CanaryTrip,
@@ -59,7 +56,6 @@ impl RejectReason {
     pub fn name(self) -> &'static str {
         match self {
             RejectReason::OccupancyOverlap => "occupancy_overlap",
-            RejectReason::PinnedTransfer => "pinned_transfer",
             RejectReason::ClassContention => "class_contention",
             RejectReason::CopyAbort => "copy_abort",
             RejectReason::CanaryTrip => "canary_trip",
@@ -216,14 +212,14 @@ mod tests {
         let l = MeshLedger::new();
         assert_eq!(l.passes_recorded(), 0);
         assert!(l.recent().is_empty());
-        l.record(rec(10, 2, [3, 1, 0, 0, 0]));
-        l.record(rec(20, 0, [0, 0, 2, 0, 1]));
+        l.record(rec(10, 2, [3, 1, 0, 0]));
+        l.record(rec(20, 0, [0, 2, 0, 1]));
         assert_eq!(l.passes_recorded(), 2);
         let r = l.recent();
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].at_ms, 10, "oldest first");
         assert_eq!(r[1].at_ms, 20);
-        assert_eq!(l.reject_totals(), [3, 1, 2, 0, 1]);
+        assert_eq!(l.reject_totals(), [3, 3, 0, 1]);
         assert_eq!(r[0].rejected_total(), 4);
     }
 
@@ -231,7 +227,7 @@ mod tests {
     fn ring_keeps_only_last_passes() {
         let l = MeshLedger::new();
         for i in 0..(LEDGER_PASSES as u64 + 9) {
-            l.record(rec(i, 1, [1, 0, 0, 0, 0]));
+            l.record(rec(i, 1, [1, 0, 0, 0]));
         }
         assert_eq!(l.passes_recorded(), LEDGER_PASSES as u64 + 9);
         let r = l.recent();
@@ -246,7 +242,7 @@ mod tests {
 
     #[test]
     fn json_names_every_reason() {
-        let j = rec(5, 1, [4, 3, 2, 1, 5]).json();
+        let j = rec(5, 1, [4, 3, 2, 1]).json();
         for r in ALL_REJECT_REASONS {
             assert!(j.contains(&format!("\"{}\":", r.name())), "{j}");
         }

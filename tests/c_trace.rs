@@ -27,7 +27,6 @@ const KNOWN_OPS: &[&str] = &[
     "arena_lock_wait",
     "mutator_pause",
     "remote_drain",
-    "transfer_spill",
     "transfer_flush",
     "mesh_candidates",
     "mesh_copy",

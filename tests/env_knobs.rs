@@ -20,8 +20,7 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_PROF_SAMPLE_BYTES", "64K");
     std::env::set_var("MESH_PROF_INTERVAL_MS", "banana"); // malformed
     std::env::set_var("MESH_PROF_PATH", "   "); // malformed (blank)
-    std::env::set_var("MESH_TRANSFER_BATCH", "8");
-    std::env::set_var("MESH_TRANSFER_CACHE_SLOTS", "banana"); // malformed
+    std::env::set_var("MESH_CTL_MAX_CLIENTS", "banana"); // malformed
     std::env::set_var("MESH_TRACE", "1");
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "banana"); // malformed
     std::env::set_var("MESH_TRACE_PATH", "/tmp/mesh-env-knobs-trace.json");
@@ -51,11 +50,10 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         None,
         "blank path ignored (warned), default kept"
     );
-    assert_eq!(c.transfer_batch_size(), 8, "MESH_TRANSFER_BATCH parsed");
     assert_eq!(
-        c.transfer_cache_slot_count(),
-        MeshConfig::default().transfer_cache_slot_count(),
-        "malformed MESH_TRANSFER_CACHE_SLOTS ignored (warned), default kept"
+        c.ctl_client_cap(),
+        MeshConfig::default().ctl_client_cap(),
+        "malformed MESH_CTL_MAX_CLIENTS ignored (warned), default kept"
     );
     assert!(c.is_tracing(), "MESH_TRACE=1 enables the tracer");
     assert_eq!(

@@ -1,14 +1,10 @@
-//! Transfer-cache integration tests: the batched exchange between thread
-//! heaps and the class shards must be invisible to the accounting — no
-//! object lost, duplicated, or routed to the wrong class, hostile frees
-//! still detected through every batched path — and nothing may be
-//! stranded when threads die.
-//!
-//! A deliberately tiny cache (batch 8, 4 slots per class) forces constant
-//! batch churn: sender buffers flush every 8 remote frees, refills pop
-//! cached batches, and teardown spills re-feed them.
+//! Sender-side remote-free batching tests: buffering a thread's remote
+//! frees and handing them to the class queues in batches must be
+//! invisible to the accounting — no free lost, duplicated, or routed to
+//! the wrong class, hostile frees still detected on the buffered path —
+//! and nothing may be stranded in a buffer when its thread dies.
 
-use mesh_core::{Mesh, MeshConfig, SizeClass};
+use mesh_core::{Mesh, MeshConfig};
 
 /// Minimal deterministic RNG (xorshift64*), so the loop is seedable
 /// without pulling in a crate.
@@ -27,13 +23,11 @@ impl Lcg {
     }
 }
 
-fn tiny_cache_heap(seed: u64) -> Mesh {
+fn heap(seed: u64) -> Mesh {
     Mesh::new(
         MeshConfig::default()
             .arena_bytes(256 << 20)
             .seed(seed)
-            .transfer_batch(8)
-            .transfer_cache_slots(4)
             .write_barrier(false),
     )
     .unwrap()
@@ -54,7 +48,7 @@ fn batched_paths_match_accounting_model() {
 
 fn run_seed(seed: u64) {
     const SIZES: [usize; 5] = [16, 100, 500, 2048, 9000]; // all small classes
-    let mesh = tiny_cache_heap(seed);
+    let mesh = heap(seed);
     let mut heaps = [mesh.thread_heap(), mesh.thread_heap()];
     let mut rng = Lcg(seed | 1);
 
@@ -107,7 +101,7 @@ fn run_seed(seed: u64) {
                 _ => {
                     // Back-to-back double free: the duplicate must be
                     // caught whether the first copy was applied locally,
-                    // is still in the sender buffer, or sits in a cache.
+                    // is still in the sender buffer, or sits in a queue.
                     let pick = rng.below(live.len() as u64) as usize;
                     let (addr, owner) = live.swap_remove(pick);
                     let who = if rng.below(3) == 0 { 1 - owner } else { owner };
@@ -125,7 +119,7 @@ fn run_seed(seed: u64) {
         unsafe { heaps[owner].free(addr as *mut u8) };
         frees += 1;
     }
-    // Teardown: detach-spill, cache hand-back, sender-buffer flush.
+    // Teardown: vector detach and sender-buffer flush.
     let [a, b] = heaps;
     drop(a);
     drop(b);
@@ -142,59 +136,8 @@ fn run_seed(seed: u64) {
     );
 }
 
-/// Deterministic teardown-spill → refill-hit cycle: a dying thread's
-/// surplus slots must land in the transfer cache and serve the next
-/// thread's refill without the class lock.
-#[test]
-fn teardown_spill_feeds_next_threads_refill() {
-    let mesh = tiny_cache_heap(5);
-    let count = SizeClass::for_size(256).unwrap().object_count();
-    let mut th1 = mesh.thread_heap();
-    // Exactly two spans' worth, so the attached span is fully consumed…
-    let ptrs: Vec<usize> = (0..2 * count).map(|_| th1.malloc(256) as usize).collect();
-    assert!(ptrs.iter().all(|&p| p != 0));
-    // …then three local frees give the vector surplus while the span
-    // stays mostly live — the spill precondition.
-    for &p in &ptrs[2 * count - 3..] {
-        unsafe { th1.free(p as *mut u8) };
-    }
-    drop(th1);
-    let s = mesh.stats();
-    assert!(s.transfer_spills >= 1, "teardown did not spill: {s:?}");
-
-    // A fresh thread's first 256-byte malloc must be served from the
-    // cached batch (hit), not a shard refill.
-    let hits_before = s.transfer_hits;
-    let mut th2 = mesh.thread_heap();
-    let fresh: Vec<usize> = (0..3).map(|_| th2.malloc(256) as usize).collect();
-    assert!(fresh.iter().all(|&p| p != 0));
-    assert!(
-        mesh.stats().transfer_hits > hits_before,
-        "refill ignored the cached batch"
-    );
-    // The cached addresses are exactly the spilled ones.
-    let mut spilled: Vec<usize> = ptrs[2 * count - 3..].to_vec();
-    let mut got = fresh.clone();
-    spilled.sort_unstable();
-    got.sort_unstable();
-    assert_eq!(got, spilled, "cache handed out different objects");
-
-    for &p in &ptrs[..2 * count - 3] {
-        unsafe { th2.free(p as *mut u8) };
-    }
-    for &p in &fresh {
-        unsafe { th2.free(p as *mut u8) };
-    }
-    drop(th2);
-    let s = mesh.stats();
-    assert_eq!(s.mallocs, s.frees);
-    assert_eq!(s.live_bytes, 0);
-    assert_eq!(s.double_frees + s.invalid_frees, 0);
-}
-
-/// The satellite regression test: waves of short-lived real threads with
-/// cross-wave frees. Nothing a dead thread buffered or cached may be
-/// stranded — `Mesh::stats()` must balance to zero live after every
+/// Waves of short-lived real threads with cross-wave frees. Nothing a
+/// dead thread buffered may be stranded — `Mesh::stats()` must balance to zero live after every
 /// thread has exited.
 #[test]
 fn thread_spawn_exit_churn_balances_to_zero() {
@@ -202,7 +145,7 @@ fn thread_spawn_exit_churn_balances_to_zero() {
     const WORKERS: usize = 4;
     const OPS: usize = 3_000;
     const SIZES: [usize; 6] = [32, 96, 256, 768, 2048, 12_000];
-    let mesh = tiny_cache_heap(11);
+    let mesh = heap(11);
     let mut inherited: Vec<usize> = Vec::new();
     for wave in 0..WAVES {
         let (tx, rx) = std::sync::mpsc::channel::<usize>();
@@ -251,44 +194,4 @@ fn thread_spawn_exit_churn_balances_to_zero() {
     assert_eq!(s.live_bytes, 0, "live accounting drifted: {s:?}");
     assert_eq!(s.remote_free_queued, s.remote_free_drained);
     assert_eq!(s.double_frees + s.invalid_frees, 0);
-}
-
-/// `transfer_batch(1)` is the degenerate compatibility mode: no sender
-/// buffering (every remote free is one immediate queue push, visible
-/// before any flush) and no cache (refills always hit the shard).
-#[test]
-fn batch_size_one_behaves_like_the_unbatched_path() {
-    let mesh = Mesh::new(
-        MeshConfig::default()
-            .arena_bytes(64 << 20)
-            .seed(13)
-            .transfer_batch(1)
-            .write_barrier(false),
-    )
-    .unwrap();
-    let p = mesh.malloc(256);
-    let mut other = mesh.thread_heap();
-    unsafe { other.free(p) };
-    // Immediately queued — no flush, no batch node, no buffering.
-    let s = mesh.stats();
-    assert_eq!(s.remote_free_queued, 1, "free was buffered despite batch=1");
-    assert_eq!(s.remote_free_batches, 0);
-    assert_eq!(s.frees, 1);
-
-    // Churn across both handles, then tear down: the transfer cache must
-    // never have engaged.
-    let mut ptrs: Vec<usize> = (0..4 * 512).map(|_| other.malloc(128) as usize).collect();
-    for (i, addr) in ptrs.drain(..).enumerate() {
-        if i % 2 == 0 {
-            unsafe { mesh.free(addr as *mut u8) }; // remote
-        } else {
-            unsafe { other.free(addr as *mut u8) }; // local
-        }
-    }
-    drop(other);
-    let s = mesh.stats();
-    assert_eq!(s.transfer_hits + s.transfer_misses + s.transfer_spills, 0);
-    assert_eq!(s.remote_free_batches, 0);
-    assert_eq!(s.mallocs, s.frees);
-    assert_eq!(s.live_bytes, 0);
 }

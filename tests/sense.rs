@@ -88,7 +88,8 @@ fn ledger_reconciles_with_heap_counters_over_many_passes() {
     }
     assert_eq!(totals, from_ring, "reject totals != ring sums");
     // This workload's rejections are occupancy overlaps (probed pairs
-    // whose bitmaps collide); copy aborts are structurally impossible.
+    // whose bitmaps collide); copy aborts need the process's mapping
+    // limit, which this workload never approaches.
     assert!(
         totals[RejectReason::OccupancyOverlap as usize] > 0,
         "fragmented waves must produce overlap rejects: {totals:?}"
@@ -182,7 +183,7 @@ fn snapshot_ring_and_prom_families() {
     let text = mesh.prom_text();
     assert!(text.contains("# TYPE mesh_pass_rejected_total counter"), "{text}");
     assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"}"));
-    assert!(text.contains("mesh_pass_rejected_total{reason=\"pinned_transfer\"}"));
+    assert!(text.contains("mesh_pass_rejected_total{reason=\"canary_trip\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"}"));
     // Heap-derived sense gauges always resolve on Linux /proc; the

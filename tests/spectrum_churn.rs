@@ -100,12 +100,9 @@ fn churn_property(seed: u64) {
 
     // Quiesced: everything the workers allocated was freed, so the
     // settled spectrum must carry zero live objects and reconcile with
-    // the heap's own live-byte ledger. Freed objects parked in the
-    // transfer cache still hold their bitmap bits (they pin spans until
-    // purged), so run a mesh pass to flush them before the zero check.
+    // the heap's own live-byte ledger.
     let stats = mesh.stats();
     assert_eq!(stats.live_bytes, 0, "seed {seed}");
-    mesh.mesh_now();
     let spec = mesh.occupancy_spectrum();
     let live: u64 = spec.classes.iter().map(|c| c.live_objects).sum();
     assert_eq!(live, 0, "seed {seed}: settled spectrum shows live objects");
